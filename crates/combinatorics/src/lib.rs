@@ -11,7 +11,7 @@
 //! |---|---|---|---|
 //! | Gosper's hack (prior work) | [`gosper`] | wide-word arithmetic on 256-bit seeds | jump by colex rank |
 //! | Algorithm 515 (Buckles–Lybanon) | [`alg515`] | unranking walk per seed | stateless random access |
-//! | Chase's Algorithm 382 | [`chase`] | few-instruction Gray-code successor | snapshot table |
+//! | Chase's Algorithm 382 | [`chase`] | constant-time Gray-code successor on two bitmaps | snapshot table |
 //!
 //! A candidate seed is always `S_init XOR mask`; masks are independent of
 //! the client, so iterator state (e.g. Chase snapshot tables) is reusable
@@ -121,7 +121,7 @@ impl MaskStream {
         match self {
             MaskStream::Gosper(s) => fill!(s),
             MaskStream::Alg515(s) => fill!(s),
-            MaskStream::Chase(s) => fill!(s),
+            MaskStream::Chase(s) => s.fill_seeds(&U256::ZERO, out),
         }
     }
 

@@ -160,6 +160,8 @@ pub trait SearchBackend: Send + Sync {
 /// done — same batched lane kernels, same prefix prescreen.
 #[derive(Clone, Debug)]
 pub struct CpuBackend {
+    /// The engine configuration, with `threads` resolved once at
+    /// construction (see [`SearchEngine`]).
     cfg: EngineConfig,
     est_rate: f64,
     telemetry: Option<EngineTelemetry>,
@@ -170,6 +172,7 @@ impl CpuBackend {
     /// A CPU backend running searches under `cfg`. The job's mode and
     /// deadline override the config's per submission.
     pub fn new(cfg: EngineConfig) -> Self {
+        let cfg = EngineConfig { threads: cfg.effective_threads(), ..cfg };
         CpuBackend { cfg, est_rate: 0.0, telemetry: None, clock: wall_clock() }
     }
 
@@ -208,7 +211,7 @@ impl SearchBackend for CpuBackend {
     fn descriptor(&self) -> BackendDescriptor {
         BackendDescriptor {
             kind: "cpu",
-            name: format!("cpu(p={})", self.cfg.effective_threads()),
+            name: format!("cpu(p={})", self.cfg.threads),
             slots: 1,
             est_rate: self.est_rate,
         }

@@ -233,6 +233,9 @@ const EXPIRED: u8 = 2;
 /// "loaded into GPU memory once and used to authenticate all clients").
 pub struct SearchEngine<D: Derive> {
     derive: D,
+    /// The configuration, with `threads` resolved once at construction:
+    /// asking the OS for the available parallelism reads cgroup files on
+    /// every call.
     cfg: EngineConfig,
     chase_cache: RwLock<HashMap<(u32, usize), ChaseTable>>,
     telemetry: Option<EngineTelemetry>,
@@ -244,7 +247,7 @@ impl<D: Derive> SearchEngine<D> {
     pub fn new(derive: D, cfg: EngineConfig) -> Self {
         SearchEngine {
             derive,
-            cfg,
+            cfg: EngineConfig { threads: cfg.effective_threads(), ..cfg },
             chase_cache: RwLock::new(HashMap::new()),
             telemetry: None,
             clock: wall_clock(),
@@ -264,7 +267,7 @@ impl<D: Derive> SearchEngine<D> {
         self
     }
 
-    /// The engine's configuration.
+    /// The engine's configuration, with `threads` resolved to a count.
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
     }
@@ -282,7 +285,7 @@ impl<D: Derive> SearchEngine<D> {
         if self.cfg.iter != SeedIterKind::Chase {
             return;
         }
-        let threads = self.cfg.effective_threads();
+        let threads = self.cfg.threads;
         for d in 0..=max_d {
             self.chase_table(d, threads);
         }
@@ -321,7 +324,7 @@ impl<D: Derive> SearchEngine<D> {
     /// [`SearchMode::EarlyExit`] all threads stop at the first match;
     /// under [`SearchMode::Exhaustive`] the whole space is enumerated.
     pub fn search(&self, target: &D::Out, s_init: &U256, max_d: u32) -> SearchReport {
-        let threads = self.cfg.effective_threads();
+        let threads = self.cfg.threads;
         let clock = &self.clock;
         let start = clock.now();
         let deadline = self.cfg.deadline.map(|t| start + t);

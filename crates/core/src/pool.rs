@@ -599,7 +599,7 @@ impl SupervisedPool {
             Some(cp) => ShardSpec {
                 shard_id: run.spec.shard_id,
                 d: run.spec.d,
-                state: cp.state.clone(),
+                state: cp.state,
                 count: cp.remaining,
             },
             None => run.spec.clone(),
@@ -1025,7 +1025,7 @@ impl SupervisedPool {
                     Some(cp) => ShardSpec {
                         shard_id: run.spec.shard_id,
                         d: run.spec.d,
-                        state: cp.state.clone(),
+                        state: cp.state,
                         count: cp.remaining,
                     },
                     None => run.spec.clone(),

@@ -30,8 +30,8 @@ use crate::derive::{Derive, DynHashDerive};
 /// Masks swept between checkpoints when the caller does not override it.
 /// At CPU hash rates (~10⁷ seeds/s/thread) this is a checkpoint every few
 /// hundred microseconds — frequent enough that a re-dispatch re-sweeps a
-/// negligible tail, rare enough that the clone of the Chase state (~1 KiB)
-/// never shows up in profiles.
+/// negligible tail, rare enough that publishing one (a copy of the
+/// 72-byte Chase state plus the sink call) never shows up in profiles.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 4096;
 
 /// One resumable slice of a distance-`d` Chase enumeration: sweep `count`
@@ -151,10 +151,10 @@ pub struct ShardReport {
     pub extras: Vec<(&'static str, u64)>,
 }
 
-/// Sweeps one shard with the engine's batched hot path: refill a mask
-/// batch from the Chase stream, XOR into candidate seeds, prescreen on
-/// the 64-bit digest prefix, confirm hits with a full derivation —
-/// bit-identical accept decisions to the full engine. Every
+/// Sweeps one shard with the engine's batched hot path: refill a batch of
+/// candidate seeds (`s_init ^ mask`) straight from the Chase stream,
+/// prescreen on the 64-bit digest prefix, confirm hits with a full
+/// derivation — bit-identical accept decisions to the full engine. Every
 /// `checkpoint_interval` masks the current resume point goes to `sink`;
 /// `deadline` bounds the attempt from its own start.
 pub fn run_shard<D: Derive>(
@@ -208,9 +208,8 @@ pub fn run_shard_clocked<D: Derive>(
     let interval = checkpoint_interval.max(1);
     let target_prefix = derive.prefix64(target);
 
-    let mut stream = ChaseStream::from_snapshot(spec.state.clone(), spec.count);
-    let mut masks: Vec<U256> = Vec::with_capacity(batch);
-    let mut seeds: Vec<U256> = Vec::with_capacity(batch);
+    let mut stream = ChaseStream::from_snapshot(spec.state, spec.count);
+    let mut buf = vec![U256::ZERO; batch];
     let mut outs: Vec<D::Out> = Vec::with_capacity(batch);
     let mut prefixes: Vec<u64> = Vec::with_capacity(batch);
     let mut swept = 0u64;
@@ -229,14 +228,8 @@ pub fn run_shard_clocked<D: Derive>(
     };
 
     loop {
-        masks.clear();
-        while masks.len() < batch {
-            match stream.next_mask() {
-                Some(m) => masks.push(m),
-                None => break,
-            }
-        }
-        if masks.is_empty() {
+        let n = stream.fill_seeds(s_init, &mut buf);
+        if n == 0 {
             return ShardReport {
                 outcome: ShardOutcome::Exhausted,
                 swept,
@@ -244,14 +237,13 @@ pub fn run_shard_clocked<D: Derive>(
                 extras: extras(batches, prefix_hits, prefix_false_pos),
             };
         }
-        seeds.clear();
-        seeds.extend(masks.iter().map(|m| *s_init ^ *m));
+        let seeds = &buf[..n];
         swept += seeds.len() as u64;
         since_cp += seeds.len() as u64;
         batches += 1;
 
         let hit = if let Some(tp) = target_prefix {
-            derive.prefix64_batch(&seeds, &mut prefixes);
+            derive.prefix64_batch(seeds, &mut prefixes);
             // Same lazy confirmation order as `.find`, with the hit and
             // false-positive tallies the cost receipts bill per client.
             let mut found = None;
@@ -268,7 +260,7 @@ pub fn run_shard_clocked<D: Derive>(
             }
             found
         } else {
-            derive.derive_batch(&seeds, &mut outs);
+            derive.derive_batch(seeds, &mut outs);
             outs.iter().position(|o| *o == *target).map(|i| seeds[i])
         };
         if let Some(seed) = hit {
@@ -420,7 +412,7 @@ mod tests {
         // Plant the client at stream position 10 000 — well past the
         // third checkpoint (3 × 1024), so the interrupted sweep cannot
         // have reached it.
-        let mut stream = ChaseStream::from_snapshot(spec.state.clone(), spec.count);
+        let mut stream = ChaseStream::from_snapshot(spec.state, spec.count);
         let mut mask = stream.next_mask().unwrap();
         for _ in 0..10_000 {
             mask = stream.next_mask().unwrap();
@@ -441,7 +433,7 @@ mod tests {
         let resumed = ShardSpec {
             shard_id: spec.shard_id,
             d: last.d,
-            state: last.state.clone(),
+            state: last.state,
             count: last.remaining,
         };
         let second = execute_job_shard(&job, &resumed, 1024, &NullSink);
